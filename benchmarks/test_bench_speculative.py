@@ -6,7 +6,7 @@ SCALE = ClusterScale(num_nodes=15, num_generators=60, duration_ms=2_000.0, seed=
 
 
 def test_bench_speculative_retries(run_experiment_benchmark):
-    result = run_experiment_benchmark("speculative", retry_percentile=99.0, scale=SCALE)
+    result = run_experiment_benchmark("speculative", hedging="hedge:quantile=0.99", scale=SCALE)
     rows = {row[0]: row for row in result.rows}
     # Paper shape: speculation on top of DS does not rescue the tail (it
     # degraded latencies by up to 5x in the paper), while C3 needs no

@@ -57,7 +57,6 @@ Sub-commands
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -68,7 +67,6 @@ from .analysis.histogram import quantile_within_bound
 from .analysis.report import format_table
 from .analysis.report_sweep import markdown_to_html, render_report
 from .cluster import ClusterConfig, run_cluster
-from .controls import control_names, get_control, kind_label
 from .experiments import list_experiments, registry, run_experiment
 from .runner import (
     SearchResult,
@@ -84,7 +82,7 @@ from .runner import (
 from .runner.results import AGGREGATE_METRICS
 from .scenarios import get_scenario, scenario_names
 from .simulator import SimulationConfig, run_simulation
-from .strategies import get_strategy, strategy_names
+from .strategies.paramspec import CONTROLS, STRATEGIES, Registry, parse_value
 
 __all__ = ["main", "build_parser"]
 
@@ -446,10 +444,7 @@ def _parse_scenario_params(pairs: Sequence[str] | None) -> dict:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ValueError(f"malformed --scenario-param {pair!r}; expected KEY=VALUE")
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
+        params[key] = parse_value(raw)
     return params
 
 
@@ -469,61 +464,23 @@ def _cmd_scenarios() -> int:
     return 0
 
 
-def _cmd_strategies() -> int:
+def _print_registry(registry: Registry, grammar_note: str) -> int:
+    """List a spec registry: names, kinds, aliases and param defaults."""
     rows = []
-    for name in strategy_names():
-        info = get_strategy(name)
+    for name in registry.names():
+        entry = registry.get(name)
         rendered = []
-        for field_name, default in info.param_defaults().items():
-            aliases = info.aliases_for(field_name)
+        for field_name, default in entry.param_defaults().items():
+            aliases = entry.aliases_for(field_name)
             label = f"{field_name} ({', '.join(aliases)})" if aliases else field_name
             rendered.append(f"{label}={default!r}")
-        rows.append(
-            [
-                name,
-                ", ".join(info.aliases) or "-",
-                info.description,
-                ", ".join(rendered) or "-",
-            ]
-        )
-    print(format_table(["strategy", "aliases", "description", "params (defaults)"], rows))
+        kind = [registry.kind_label(entry.kind)] if entry.kind is not None else []
+        aliases = ", ".join(entry.aliases) or "-"
+        rows.append([name, *kind, aliases, entry.description, ", ".join(rendered) or "-"])
+    headers = [registry.noun, *(["kind"] if registry.kinds else []), "aliases", "description"]
+    print(format_table([*headers, "params (defaults)"], rows))
     print()
-    print(
-        "spec grammar: NAME[:param=value,...] — names/aliases are case-insensitive, "
-        "values are JSON scalars, parenthesised short-hands are accepted param "
-        "aliases (e.g. \"c3:cubic_c=2e-4,b=3\"); a param left unset (or null) uses "
-        "the paper default shown above."
-    )
-    return 0
-
-
-def _cmd_controls() -> int:
-    rows = []
-    for name in control_names():
-        info = get_control(name)
-        rendered = []
-        for field_name, default in info.param_defaults().items():
-            aliases = info.aliases_for(field_name)
-            label = f"{field_name} ({', '.join(aliases)})" if aliases else field_name
-            rendered.append(f"{label}={default!r}")
-        rows.append(
-            [
-                name,
-                kind_label(info.kind),
-                ", ".join(info.aliases) or "-",
-                info.description,
-                ", ".join(rendered) or "-",
-            ]
-        )
-    print(format_table(["control", "kind", "aliases", "description", "params (defaults)"], rows))
-    print()
-    print(
-        "spec grammar: NAME[:param=value,...] — the same grammar as strategies; "
-        "e.g. --failure-detector \"phi:threshold=8\" or --hedging "
-        "\"hedge:quantile=0.95,max_extra=1\". Defaults (binary detection, no "
-        "hedging) reproduce the legacy simulator byte-for-byte; any selection x "
-        "detection x hedging combination is a valid sweep point."
-    )
+    print(grammar_note)
     return 0
 
 
@@ -1027,9 +984,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "scenarios":
         return _cmd_scenarios()
     if args.command == "strategies":
-        return _cmd_strategies()
+        return _print_registry(
+            STRATEGIES,
+            "spec grammar: NAME[:param=value,...] — names/aliases are case-insensitive, "
+            "values are JSON scalars, parenthesised short-hands are accepted param "
+            "aliases (e.g. \"c3:cubic_c=2e-4,b=3\"); a param left unset (or null) uses "
+            "the paper default shown above.",
+        )
     if args.command == "controls":
-        return _cmd_controls()
+        return _print_registry(
+            CONTROLS,
+            "spec grammar: NAME[:param=value,...] — the same grammar as strategies; "
+            "e.g. --failure-detector \"phi:threshold=8\" or --hedging "
+            "\"hedge:quantile=0.95,max_extra=1\". Defaults (binary detection, no "
+            "hedging) reproduce the legacy simulator byte-for-byte; any selection x "
+            "detection x hedging combination is a valid sweep point.",
+        )
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "simulate":

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Hashable, Mapping, Protocol
 
-from .registry import register_control
+from ..strategies.paramspec import CONTROLS
 
 __all__ = [
     "BinaryDetectorParams",
@@ -80,20 +80,13 @@ class BinaryDetectorParams:
     """The binary detector has no knobs: it reads crash state directly."""
 
 
-def _build_binary(params: Mapping[str, Any], context: Mapping[str, Any]) -> "BinaryFailureDetector":
-    return BinaryFailureDetector(
-        down_tracker=context.get("down_tracker"),
-        servers=context.get("servers"),
-    )
-
-
-@register_control(
+@CONTROLS.register(
     "binary",
     kind="detector",
     aliases=("GROUND_TRUTH",),
     params=BinaryDetectorParams,
     description="Ground-truth crash knowledge (legacy down/up liveness checks)",
-    factory=_build_binary,
+    context_args=("down_tracker", "servers"),
 )
 class BinaryFailureDetector:
     """Ground-truth liveness: a server is down exactly while it is crashed.
@@ -164,7 +157,7 @@ def _validate_phi(params: Mapping[str, Any]) -> None:
         raise ValueError("phi floor_ms must be positive")
 
 
-@register_control(
+@CONTROLS.register(
     "phi",
     kind="detector",
     aliases=("PHI_ACCRUAL",),

@@ -1,11 +1,9 @@
 """Hedged-request (speculative-retry) policies.
 
-Generalizes the Cassandra-style percentile speculative retry that
-previously lived only inside the cluster coordinator
-(:class:`~repro.cluster.coordinator.SpeculativeRetryPolicy`): after a read
-is dispatched, wait until the configured quantile of recently observed
-read latencies has elapsed, then re-issue the read to a *different*
-replica; whichever copy responds first completes the operation.  §5 of the
+Generalizes Cassandra's percentile speculative retry: after a read is
+dispatched, wait until the configured quantile of recently observed read
+latencies has elapsed, then re-issue the read to a *different* replica;
+whichever copy responds first completes the operation.  §5 of the
 paper ("Comparison against request reissues") evaluates exactly this
 mechanism against C3's proactive rate control.
 
@@ -26,7 +24,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .registry import register_control
+from ..strategies.paramspec import CONTROLS
 
 __all__ = ["HedgeParams", "QuantileHedging"]
 
@@ -69,7 +67,7 @@ def _validate_hedge(params: Mapping[str, Any]) -> None:
         raise ValueError("hedge history must be >= 1")
 
 
-@register_control(
+@CONTROLS.register(
     "hedge",
     kind="hedge",
     aliases=("SPECULATIVE", "SPECULATIVE_RETRY"),
@@ -83,9 +81,8 @@ class QuantileHedging:
 
     ``record()`` folds completed-read latencies into a sliding window;
     ``threshold_ms()`` reports how long to wait before issuing an extra
-    copy, or ``None`` while warming up.  The legacy
-    ``SpeculativeRetryPolicy(percentile=p)`` is this policy with
-    ``quantile = p / 100`` and ``max_extra = 1``.
+    copy, or ``None`` while warming up.  Cassandra's
+    ``speculative_retry: 99percentile`` is ``quantile=0.99, max_extra=1``.
     """
 
     def __init__(

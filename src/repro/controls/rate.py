@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from ..core.config import C3Config
 from ..core.rate_control import CubicRateController
-from .registry import register_control
+from ..strategies.paramspec import CONTROLS
 
 __all__ = ["CubicRateParams", "cubic_config_from_params"]
 
@@ -70,7 +70,7 @@ def _build_cubic(params: Mapping[str, Any], context: Mapping[str, Any]) -> Cubic
     )
 
 
-@register_control(
+@CONTROLS.register(
     "cubic",
     kind="rate",
     aliases=("CUBIC_RATE", "C3_RATE"),

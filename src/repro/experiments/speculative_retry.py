@@ -18,27 +18,18 @@ __all__ = ["run"]
 @registry.register("speculative", "Speculative retries on top of DS vs C3 (§5)")
 def run(
     workload_mix: str = "read_heavy",
-    retry_percentile: float = 99.0,
-    hedging: str | None = None,
+    hedging: str = "hedge:quantile=0.99",
     scale: ClusterScale | None = None,
 ) -> ExperimentResult:
     """Reproduce the speculative-retry comparison.
 
-    The retry mechanism can be addressed two equivalent ways: the legacy
-    ``retry_percentile`` spelling (the default, pinned by the regression
-    suite) or a ``hedging`` control spec such as ``"hedge:quantile=0.99"``
-    — ``retry_percentile=p`` and ``hedging=f"hedge:quantile={p / 100}"``
-    produce identical rows, which the controls test suite asserts
-    row-for-row.
+    ``hedging`` is the DS+spec configuration's control spec; the default is
+    the paper's Cassandra ``speculative_retry: 99percentile`` setting.
     """
     scale = scale or ClusterScale()
-    if hedging is not None:
-        spec_overrides = dict(strategy="DS", hedging=hedging)
-    else:
-        spec_overrides = dict(strategy="DS", speculative_retry_percentile=retry_percentile)
     scenarios = [
         ("DS", dict(strategy="DS")),
-        ("DS+spec", spec_overrides),
+        ("DS+spec", dict(strategy="DS", hedging=hedging)),
         ("C3", dict(strategy="C3")),
     ]
     rows = []

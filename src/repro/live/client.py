@@ -2,8 +2,8 @@
 
 :class:`LiveLoadClient` drives the *identical* strategy/control registries
 the simulator uses — the selector built from a canonical
-:class:`~repro.strategies.spec.StrategySpec`, the failure detector and
-quantile-hedging policy from :class:`~repro.controls.spec.ControlSpec`
+:class:`~repro.strategies.StrategySpec`, the failure detector and
+quantile-hedging policy from :class:`~repro.controls.ControlSpec`
 strings — against live replica servers (:mod:`repro.live.server`):
 
 - **Open-loop Poisson arrivals** exactly like the simulator's workload
@@ -38,10 +38,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..controls.spec import ControlSpec
+from ..controls import ControlSpec
 from ..core.feedback import ServerFeedback
 from ..simulator.workload import replica_groups
-from ..strategies.spec import StrategySpec
+from ..strategies import StrategySpec
 from .protocol import ProtocolError, read_message, write_message
 
 __all__ = ["LiveClientResult", "LiveLoadClient"]
@@ -75,6 +75,10 @@ class _Operation:
     done: bool = False
     used: set[int] = field(default_factory=set)
     hedges_fired: int = 0
+    #: Server of the primary wire (``None`` until it is sent).
+    primary_server: int | None = None
+    #: Wires sent and neither answered nor expired yet.
+    inflight: int = 0
 
 
 @dataclass
@@ -144,7 +148,6 @@ class LiveLoadClient:
         self._readers: list[asyncio.Task] = []
         self._ops: dict[int, _Operation] = {}
         self._pending: dict[int, _Pending] = {}
-        self._wire_to_op: dict[int, int] = {}
         self._next_id = 0
         self._stop = False
         self._parked: list[_Operation] = []
@@ -282,7 +285,9 @@ class LiveLoadClient:
         wire_id = self._next_id
         self._next_id += 1
         op.used.add(server_id)
-        self._wire_to_op[wire_id] = op.op_id
+        op.inflight += 1
+        if primary:
+            op.primary_server = server_id
         self._pending[wire_id] = _Pending(
             op_id=op.op_id,
             server_id=server_id,
@@ -339,10 +344,12 @@ class LiveLoadClient:
         now = self._now_ms()
         wire_id = int(message["id"])
         pending = self._pending.pop(wire_id, None)
-        op_id = self._wire_to_op.pop(wire_id, None)
-        if pending is None or op_id is None:
+        if pending is None:
             return  # already timed out
         sid = pending.server_id
+        op = self._ops.get(pending.op_id)
+        if op is not None:
+            op.inflight -= 1
         if self.detector is not None:
             self.detector.heartbeat(sid, now)
         if message.get("rejected"):
@@ -358,17 +365,16 @@ class LiveLoadClient:
         )
         response_time = now - pending.sent_ms
         released = self.selector.on_response(sid, feedback, response_time, now)
-        op = self._ops.get(op_id)
         if op is not None and not op.done:
             op.done = True
             self.result.completed += 1
-            if op.hedges_fired and sid != next(iter(op.used)):
+            if op.hedges_fired and sid != op.primary_server:
                 self.result.hedges_won += 1
             if self.hedging is not None and op.kind == "read":
                 self.hedging.record(now - op.created_ms)
             if self.on_complete is not None:
                 self.on_complete(now, now - op.created_ms)
-            self._ops.pop(op_id, None)
+            self._ops.pop(op.op_id, None)
         for request, server_id in released:
             released_op = self._ops.get(int(request))  # type: ignore[arg-type]
             if released_op is not None and not released_op.done:
@@ -378,22 +384,19 @@ class LiveLoadClient:
     async def _reap_timeouts(self) -> None:
         while not self._stop:
             await asyncio.sleep(_REAPER_INTERVAL_MS / 1000.0)
-            now = self._now_ms()
-            expired = [wid for wid, p in self._pending.items() if p.deadline_ms <= now]
-            for wire_id in expired:
-                pending = self._pending.pop(wire_id, None)
-                op_id = self._wire_to_op.pop(wire_id, None)
-                if pending is None:
-                    continue
-                self.selector.on_timeout(pending.server_id, now)
-                if op_id is None:
-                    continue
-                op = self._ops.get(op_id)
-                if op is not None and not op.done:
-                    still_inflight = any(
-                        p.op_id == op_id for p in self._pending.values()
-                    )
-                    if not still_inflight:
-                        op.done = True
-                        self.result.timeouts += 1
-                        self._ops.pop(op_id, None)
+            self._reap(self._now_ms())
+
+    def _reap(self, now: float) -> None:
+        """Expire every wire past its deadline; an op times out with its last wire."""
+        expired = [wid for wid, p in self._pending.items() if p.deadline_ms <= now]
+        for wire_id in expired:
+            pending = self._pending.pop(wire_id)
+            self.selector.on_timeout(pending.server_id, now)
+            op = self._ops.get(pending.op_id)
+            if op is None or op.done:
+                continue
+            op.inflight -= 1
+            if not op.inflight:
+                op.done = True
+                self.result.timeouts += 1
+                self._ops.pop(op.op_id, None)

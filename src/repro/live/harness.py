@@ -45,10 +45,10 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..analysis.histogram import LatencyHistogram
-from ..controls.spec import ControlSpec
+from ..controls import ControlSpec
 from ..runner.spec import content_hash
 from ..scenarios import get_scenario
-from ..strategies.spec import StrategySpec
+from ..strategies import StrategySpec
 from .client import LiveLoadClient
 from .protocol import read_message, write_message
 

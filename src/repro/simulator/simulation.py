@@ -17,10 +17,10 @@ import numpy as np
 
 from ..controls import ControlSpec
 from ..core.config import C3Config
+from ..scenarios.processes import BimodalFluctuation
 from ..strategies import StrategySpec
 from .client import SimClient
 from .engine import BatchedEventLoop, EventLoop
-from .fluctuation import BimodalFluctuation
 from .metrics import METRICS_MODES, MetricsCollector, SimulationResult
 from .network import ConstantLatency, NetworkModel
 from .request import Request

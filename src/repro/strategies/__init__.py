@@ -1,6 +1,7 @@
 """Replica-selection strategies: C3 and every baseline used in the paper.
 
-Strategies live in a plugin registry (:mod:`repro.strategies.registry`):
+Strategies live in a plugin registry (:data:`~repro.strategies.paramspec.STRATEGIES`,
+the strategy instance of the shared :class:`~repro.strategies.paramspec.Registry`):
 each selector module registers itself under a canonical name with a typed,
 frozen param dataclass whose defaults are the paper's values.  A
 :class:`StrategySpec` — parsed from ``"c3"``, ``"c3:cubic_c=4e-4,b=3"``, or
@@ -34,19 +35,9 @@ from .power_of_two import PowerOfTwoParams, PowerOfTwoSelector
 from .weighted_random import WeightedRandomParams, WeightedRandomSelector
 from .dynamic_snitch import DynamicSnitchParams, DynamicSnitchSelector
 
-from .registry import (
-    BuildContext,
-    StrategyInfo,
-    build_selector,
-    get_strategy,
-    register_strategy,
-    resolve_strategy,
-    strategy_names,
-)
-from .spec import StrategySpec
+from .paramspec import STRATEGIES, StrategySpec
 
 __all__ = [
-    "BuildContext",
     "C3Params",
     "C3Selector",
     "DynamicSnitchParams",
@@ -66,12 +57,10 @@ __all__ = [
     "RoundRobinSelector",
     "SelectorDecision",
     "StatefulSelector",
-    "StrategyInfo",
     "StrategySpec",
     "WeightedRandomParams",
     "WeightedRandomSelector",
     "STRATEGY_NAMES",
-    "build_selector",
     "c3_config_from_params",
     "get_strategy",
     "make_selector",
@@ -79,6 +68,11 @@ __all__ = [
     "resolve_strategy",
     "strategy_names",
 ]
+
+register_strategy = STRATEGIES.register
+resolve_strategy = STRATEGIES.resolve
+get_strategy = STRATEGIES.get
+strategy_names = STRATEGIES.names
 
 #: Canonical strategy names, derived from the registry (registration order).
 STRATEGY_NAMES = strategy_names()

@@ -11,7 +11,7 @@ from ..core.rate_control import CubicRateController, PerServerRateControl, RateC
 from ..core.scheduler import C3Scheduler
 from ..core.scoring import ReplicaScorer
 from .base import ReplicaSelector, SelectorDecision
-from .registry import BuildContext, register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["C3Params", "C3Selector", "c3_config_from_params"]
 
@@ -71,12 +71,12 @@ def _validate_c3_params(params: Mapping[str, Any]) -> None:
     c3_config_from_params(params)
 
 
-def _build_c3(params: Mapping[str, Any], ctx: BuildContext) -> "C3Selector":
-    config = c3_config_from_params(params, ctx.c3_config)
-    return C3Selector(config=config, record_rate_history=ctx.record_rate_history)
+def _build_c3(params: Mapping[str, Any], context: Mapping[str, Any]) -> "C3Selector":
+    config = c3_config_from_params(params, context.get("c3_config"))
+    return C3Selector(config=config, record_rate_history=bool(context.get("record_rate_history")))
 
 
-@register_strategy(
+@STRATEGIES.register(
     "C3",
     params=C3Params,
     description="Adaptive replica selection: cubic scoring + distributed rate control (the paper's system)",

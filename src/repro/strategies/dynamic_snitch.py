@@ -22,15 +22,18 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.feedback import ServerFeedback
 from .base import StatefulSelector
-from .registry import IowaitFn, register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["DynamicSnitchParams", "DynamicSnitchSelector", "IowaitFn"]
+
+#: Callback returning a peer's most recently gossiped iowait fraction [0, 1].
+IowaitFn = Callable[[Hashable], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +57,7 @@ def _validate_ds_params(params: Mapping[str, Any]) -> None:
         raise ValueError("badness_threshold must be in [0, 1)")
 
 
-@register_strategy(
+@STRATEGIES.register(
     "DS",
     aliases=("DYNAMIC_SNITCH",),
     params=DynamicSnitchParams,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.feedback import ServerFeedback
 from .base import StatefulSelector
-from .registry import register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["LeastOutstandingParams", "LeastOutstandingSelector"]
 
@@ -27,7 +27,7 @@ class LeastOutstandingParams:
     """LOR has no tunable parameters — ties break uniformly at random."""
 
 
-@register_strategy(
+@STRATEGIES.register(
     "LOR",
     aliases=("LEAST_OUTSTANDING",),
     params=LeastOutstandingParams,

@@ -17,7 +17,7 @@ import numpy as np
 from ..core.ewma import EWMA
 from ..core.feedback import ServerFeedback
 from .base import StatefulSelector
-from .registry import register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["LeastResponseTimeParams", "LeastResponseTimeSelector"]
 
@@ -30,7 +30,7 @@ class LeastResponseTimeParams:
     alpha: float = 0.9
 
 
-@register_strategy(
+@STRATEGIES.register(
     "LRT",
     aliases=("LEAST_RESPONSE_TIME",),
     params=LeastResponseTimeParams,

@@ -9,13 +9,16 @@ simulated client supplies a callback that exposes the true server state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from ..core.feedback import ServerFeedback
 from .base import StatefulSelector
-from .registry import ServerStateFn, register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["OracleParams", "OracleSelector", "ServerStateFn"]
+
+#: Callback returning ``(pending_requests, current_service_time_ms)`` for a server.
+ServerStateFn = Callable[[Hashable], tuple[float, float]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,7 +26,7 @@ class OracleParams:
     """The oracle has no tunable parameters — it reads ground truth."""
 
 
-@register_strategy(
+@STRATEGIES.register(
     "ORA",
     aliases=("ORACLE",),
     params=OracleParams,

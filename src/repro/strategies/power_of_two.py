@@ -18,7 +18,7 @@ import numpy as np
 from ..core.ewma import EWMA
 from ..core.feedback import ServerFeedback
 from .base import StatefulSelector
-from .registry import register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["PowerOfTwoParams", "PowerOfTwoSelector"]
 
@@ -31,7 +31,7 @@ class PowerOfTwoParams:
     alpha: float = 0.9
 
 
-@register_strategy(
+@STRATEGIES.register(
     "P2C",
     aliases=("POWER_OF_TWO",),
     params=PowerOfTwoParams,

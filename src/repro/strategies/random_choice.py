@@ -8,7 +8,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .base import StatefulSelector
-from .registry import register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["RandomParams", "RandomSelector"]
 
@@ -18,7 +18,7 @@ class RandomParams:
     """Uniform-random selection has no tunable parameters."""
 
 
-@register_strategy(
+@STRATEGIES.register(
     "RAND",
     aliases=("RANDOM",),
     params=RandomParams,

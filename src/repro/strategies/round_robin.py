@@ -16,7 +16,7 @@ from ..core.config import C3Config
 from ..core.feedback import ServerFeedback
 from ..core.rate_control import PerServerRateControl
 from .base import ReplicaSelector, SelectorDecision
-from .registry import BuildContext, register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["RoundRobinParams", "RoundRobinSelector"]
 
@@ -50,14 +50,16 @@ def _validate_rr_params(params: Mapping[str, Any]) -> None:
     _rr_config(params, None)
 
 
-def _build_round_robin(params: Mapping[str, Any], ctx: BuildContext) -> "RoundRobinSelector":
+def _build_round_robin(
+    params: Mapping[str, Any], context: Mapping[str, Any]
+) -> "RoundRobinSelector":
     return RoundRobinSelector(
-        config=_rr_config(params, ctx.c3_config),
+        config=_rr_config(params, context.get("c3_config")),
         rate_limited=bool(params.get("rate_limited", True)),
     )
 
 
-@register_strategy(
+@STRATEGIES.register(
     "RR",
     aliases=("ROUND_ROBIN",),
     params=RoundRobinParams,

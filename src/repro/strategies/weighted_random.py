@@ -17,7 +17,7 @@ import numpy as np
 from ..core.ewma import EWMA
 from ..core.feedback import ServerFeedback
 from .base import StatefulSelector
-from .registry import register_strategy
+from .paramspec import STRATEGIES
 
 __all__ = ["WeightedRandomParams", "WeightedRandomSelector"]
 
@@ -40,7 +40,7 @@ def _validate_wrand_params(params: Mapping[str, Any]) -> None:
         raise ValueError(f"signal must be one of {_VALID_SIGNALS}, got {signal!r}")
 
 
-@register_strategy(
+@STRATEGIES.register(
     "WRAND",
     aliases=("WEIGHTED_RANDOM",),
     params=WeightedRandomParams,

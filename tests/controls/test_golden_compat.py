@@ -8,9 +8,9 @@ Three byte-for-byte contracts:
   suite so there is a single source of truth);
 * the default control specs are invisible to runner payloads, so cache keys
   and payload hashes predating the controls axes are unchanged;
-* the ``speculative`` experiment produces identical rows whether the retry
-  mechanism is spelled as the legacy ``retry_percentile`` or as the
-  generalized ``hedging="hedge:quantile=..."`` control spec.
+* the ``speculative`` experiment, now spelled only through the
+  ``hedging="hedge:quantile=0.99"`` control spec, produces the rows pinned
+  from its former ``retry_percentile=99.0`` spelling.
 """
 
 from __future__ import annotations
@@ -125,16 +125,22 @@ class TestDefaultControlsInvisibleToPayloads:
 
 
 class TestSpeculativeExperimentEquivalence:
+    #: Rows of ``run(retry_percentile=99.0, scale=...)`` recorded while the
+    #: experiment still had that percentile spelling of the same mechanism.
+    PERCENTILE_SPELLING_ROWS = [
+        ["DS", 5.518963691369413, 3.1950487839083053, 28.932623551489012, 63.19306807120057, 0, 1548.0],
+        ["DS+spec", 5.690835285131303, 3.6365328594849586, 27.30565913920356, 36.27945236969259, 15, 1522.0],
+        ["C3", 5.600277288737037, 3.321287310419919, 29.257867302975267, 83.6093399259742, 0, 1558.0],
+    ]
+
     def test_percentile_and_hedge_spec_rows_match(self):
-        # The same retry mechanism, two spellings: the legacy percentile
-        # parameter and the generalized hedging control spec must produce
-        # identical experiment rows (same RNG draws, same speculation
-        # thresholds, same completions).
+        # The default hedging spec must reproduce the percentile spelling
+        # row for row: same RNG draws, same speculation thresholds, same
+        # completions.
         run = experiment_registry.get("speculative")
         scale = ClusterScale(
             num_nodes=5, num_generators=10, duration_ms=400.0, num_keys=500
         )
-        legacy = run(retry_percentile=99.0, scale=scale)
-        spec = run(hedging="hedge:quantile=0.99", scale=scale)
-        assert legacy.headers == spec.headers
-        assert legacy.rows == spec.rows
+        result = run(scale=scale)
+        assert result.headers[0] == "configuration"
+        assert result.rows == self.PERCENTILE_SPELLING_ROWS

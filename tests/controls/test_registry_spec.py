@@ -1,4 +1,9 @@
-"""Registry and spec-grammar tests for the control-plane registry."""
+"""Registry and spec-grammar tests for the control-plane registry.
+
+Checks shared with the strategy registry (duplicate rejection, param
+did-you-mean, the pinned canonical-string and digest table) live in
+``tests/strategies/test_registry.py``, parametrized over both instances.
+"""
 
 from __future__ import annotations
 
@@ -89,10 +94,6 @@ class TestSpecParsing:
     def test_mapping_form_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown keys"):
             ControlSpec.parse({"name": "phi", "threshold": 6})
-
-    def test_unknown_param_did_you_mean(self):
-        with pytest.raises(ValueError, match="did you mean 'threshold'"):
-            ControlSpec.parse("phi:treshold=6")
 
     def test_invalid_values_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="threshold must be positive"):

@@ -62,7 +62,7 @@ class TestClusterExperimentsTiny:
         assert result.rows[0][1] > 0
 
     def test_speculative_includes_three_configurations(self):
-        result = run_experiment("speculative", retry_percentile=90.0, scale=TINY_CLUSTER)
+        result = run_experiment("speculative", hedging="hedge:quantile=0.9", scale=TINY_CLUSTER)
         assert [row[0] for row in result.rows] == ["DS", "DS+spec", "C3"]
 
     def test_fig13_rate_trace(self):

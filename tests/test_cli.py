@@ -145,6 +145,23 @@ class TestStrategyRegistryCLI:
         assert "score_exponent (b)" in out
         assert "spec grammar" in out
 
+    def test_controls_subcommand_lists_registry(self, capsys):
+        assert main(["controls"]) == 0
+        out = capsys.readouterr().out
+        header = out.splitlines()[0].split()
+        assert header[:3] == ["control", "kind", "aliases"]
+        # One row per control in registration order, with its kind label,
+        # aliases and param defaults (param aliases in parentheses).
+        rows = [line.split()[0] for line in out.splitlines()[2:6]]
+        assert rows == ["binary", "phi", "hedge", "cubic"]
+        for label in ("failure detector", "hedging policy", "rate controller"):
+            assert label in out
+        assert "PHI_ACCRUAL" in out
+        assert "SPECULATIVE_RETRY" in out
+        assert "quantile (q)=0.95" in out
+        assert "threshold=8.0" in out
+        assert "spec grammar" in out
+
     def test_simulate_accepts_param_spec(self, capsys):
         code = main(
             [
